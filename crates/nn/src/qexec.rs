@@ -25,7 +25,10 @@
 //! `[N, …]` activation is quantized **once per layer per batch**, the
 //! per-group bit-lowered weight blocks are built once per batch (instead
 //! of once per sample), and the band GEMMs run column-batched across all
-//! samples. With calibrated (static) extraction positions the batched
+//! samples. Integer convs lower their low feature groups' activation
+//! planes in place *before* im2col, so each element is lowered once, not
+//! once per kernel tap, and a low band's GEMM reads its im2col rows
+//! directly. With calibrated (static) extraction positions the batched
 //! integer path is **bit-exact** per sample with the single-sample path —
 //! the equivalence tests in `tests/batch_equivalence.rs` pin this down at
 //! every ratio level. The one intentional divergence: with
@@ -723,9 +726,7 @@ impl PackCache {
 /// from a [`Workspace`] so the caller can keep the quantized activation
 /// and im2col buffers borrowed alongside.
 struct GroupScratch<'a> {
-    low_act: &'a mut Buf<i8>,
     low_w: &'a mut Buf<i8>,
-    live: &'a mut Buf<i8>,
     rules: &'a mut Buf<BitLowering>,
     gemm: &'a mut Buf<i32>,
 }
@@ -1158,7 +1159,7 @@ impl<'m> QuantCompute<'m> {
     }
 
     fn conv_int(&mut self, l: LayerId, conv: &Conv2d, x: &Tensor) -> Result<Tensor> {
-        let (_c_in, h, w) = conv.check_input(x)?;
+        let (c_in, h, w) = conv.check_input(x)?;
         let geom = conv.group_geometry(h, w);
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let cols = geom.cols();
@@ -1168,6 +1169,7 @@ impl<'m> QuantCompute<'m> {
         let c_out_g = c_out / conv.groups;
         let mut ws = std::mem::take(&mut self.ws);
         self.quantize_act_into(l, x, &mut ws.act_q);
+        self.lower_conv_act(l, 1, c_in, h * w, &mut ws);
         let lq = &self.model.layers[l];
         let mut out = vec![0.0f32; c_out * cols];
         for cg in 0..conv.groups {
@@ -1182,13 +1184,21 @@ impl<'m> QuantCompute<'m> {
             drop(im2col_span);
             let acc = ws.acc.prep(c_out_g * cols);
             let scratch = GroupScratch {
-                low_act: &mut ws.low_act,
                 low_w: &mut ws.low_w,
-                live: &mut ws.live,
                 rules: &mut ws.rules,
                 gemm: &mut ws.group_scratch,
             };
-            self.conv_group_bands(l, conv, cg, 1, cols, &ws.cols_q, scratch, acc);
+            self.conv_group_bands(
+                l,
+                conv,
+                cg,
+                1,
+                cols,
+                &ws.cols_q,
+                &ws.act_rules,
+                scratch,
+                acc,
+            );
             let _requant = tel::span("requant", tel::Cat::Phase);
             for ol in 0..c_out_g {
                 let o = cg * c_out_g + ol;
@@ -1212,12 +1222,57 @@ impl<'m> QuantCompute<'m> {
         !self.opts.batch_invariant()
     }
 
+    /// Bit-lowers the low feature groups' channel planes of a quantized
+    /// conv activation (`ws.act_q`, `[n, c_in, hw]`) in place, recording
+    /// every group's activation rule in `ws.act_rules` (high groups get
+    /// an unused placeholder).
+    ///
+    /// Runs before im2col, so each element is lowered once instead of
+    /// once per kernel tap. This is exact: lowering is per element and
+    /// per channel, and `lower(0) == 0`, so it commutes with the
+    /// zero-padded gather. A dynamic rule derives from its group's
+    /// quantized values across the whole batch — as in the Fake engine.
+    fn lower_conv_act(&self, l: LayerId, n: usize, c_in: usize, hw: usize, ws: &mut Workspace) {
+        let groups = self.model.layers[l].num_groups();
+        let placeholder = BitLowering::with_shift(0, self.opts.low_bits);
+        ws.act_rules.fill_with(groups, |_| placeholder);
+        if !self.plan.low_groups[l].contains(&true) {
+            return;
+        }
+        let _span = tel::span("bit_lower", tel::Cat::Phase);
+        let chw = c_in * hw;
+        for g in 0..groups {
+            if !self.plan.low_groups[l][g] {
+                continue;
+            }
+            let range = self.model.groups.channel_range(g, c_in);
+            let planes = |s: usize| s * chw + range.start * hw..s * chw + range.end * hw;
+            let act_q: &mut [i8] = &mut ws.act_q;
+            let rule = if self.needs_live() {
+                let live = ws
+                    .live
+                    .collect_from((0..n).flat_map(|s| act_q[planes(s)].iter().copied()));
+                self.act_rule(l, g, live)
+            } else {
+                self.act_rule(l, g, &[])
+            };
+            ws.act_rules[g] = rule;
+            for s in 0..n {
+                for v in &mut act_q[planes(s)] {
+                    *v = rule.lower(*v);
+                }
+            }
+        }
+    }
+
     /// Accumulates one conv group's feature-group bands into `acc`
     /// (`[c_out_g, nb*cols]`, zeroed by the caller), reading the group's
-    /// already-lowered im2col matrix `cols_q` (`[k, nb*cols]`). This is
-    /// the single copy of the band algorithm — the serial single-sample,
-    /// serial batched, and pool-fanned batched paths all call it, each
-    /// supplying its own [`GroupScratch`] (`nb == 1` for single-sample).
+    /// im2col matrix `cols_q` (`[k, nb*cols]`), whose low-group rows were
+    /// already bit-lowered by [`Self::lower_conv_act`] under the
+    /// per-feature-group rules `a_rules`. This is the single copy of the
+    /// band algorithm — the serial single-sample, serial batched, and
+    /// pool-fanned batched paths all call it, each supplying its own
+    /// [`GroupScratch`] (`nb == 1` for single-sample).
     #[allow(clippy::too_many_arguments)]
     fn conv_group_bands(
         &self,
@@ -1227,6 +1282,7 @@ impl<'m> QuantCompute<'m> {
         nb: usize,
         cols: usize,
         cols_q: &[i8],
+        a_rules: &[BitLowering],
         s: GroupScratch<'_>,
         acc: &mut [i32],
     ) {
@@ -1261,25 +1317,8 @@ impl<'m> QuantCompute<'m> {
                 );
             } else {
                 let bw = k1 - k0;
+                let a_rule = a_rules[g];
                 let lower_span = tel::span("bit_lower", tel::Cat::Phase);
-                let a_rule = {
-                    let live = if self.needs_live() {
-                        s.live
-                            .collect_from(cols_q[k0 * ncols..k1 * ncols].iter().copied())
-                    } else {
-                        s.live.prep(0)
-                    };
-                    self.act_rule(l, g, live)
-                };
-                // Lowered activation band [bw, nb*cols].
-                {
-                    let xb = s.low_act.prep(bw * ncols);
-                    for r in 0..bw {
-                        for j in 0..ncols {
-                            xb[r * ncols + j] = a_rule.lower(cols_q[(k0 + r) * ncols + j]);
-                        }
-                    }
-                }
                 // Lowered weight band [c_out_g, bw], per-row rules —
                 // served from the cache when warm (conv runs weights as
                 // the GEMM lhs, so the cached band is the lowered block
@@ -1304,7 +1343,10 @@ impl<'m> QuantCompute<'m> {
                     Some(p) => (&p.wb, &p.rules),
                     None => (&s.low_w[..], &s.rules[..]),
                 };
-                gemm::gemm_i8_colbatch(nb, c_out_g, cols, bw, wb, &s.low_act[..], &mut s.gemm[..]);
+                // The activation band is rows k0..k1 of `cols_q`, lowered
+                // before im2col.
+                let xb = &cols_q[k0 * ncols..k1 * ncols];
+                gemm::gemm_i8_colbatch(nb, c_out_g, cols, bw, wb, xb, &mut s.gemm[..]);
                 for ol in 0..c_out_g {
                     let shift = a_rule.shift() + rules[ol].shift();
                     for j in 0..ncols {
@@ -1580,6 +1622,7 @@ impl<'m> QuantCompute<'m> {
         let chw = conv.c_in() * h * w;
         let mut ws = std::mem::take(&mut self.ws);
         self.quantize_act_into(l, x, &mut ws.act_q);
+        self.lower_conv_act(l, n, conv.c_in(), h * w, &mut ws);
         let lq = &self.model.layers[l];
         let mut out = vec![0.0f32; n * c_out * cols];
         let scatter = |cg: usize, acc: &[i32], out: &mut [f32]| {
@@ -1612,7 +1655,7 @@ impl<'m> QuantCompute<'m> {
                 // are long-lived pool threads, so their workspaces warm
                 // up and stick like the submitter's) and requantizes its
                 // band in task — steady state allocates nothing here.
-                let xq: &[i8] = &ws.act_q;
+                let (xq, a_rules): (&[i8], &[BitLowering]) = (&ws.act_q, &ws.act_rules);
                 let mut bands = flexiq_parallel::take_ranges();
                 bands.extend(
                     (0..conv.groups).map(|cg| cg * c_out_g * cols..(cg + 1) * c_out_g * cols),
@@ -1630,13 +1673,11 @@ impl<'m> QuantCompute<'m> {
                     drop(im2col_span);
                     let acc = tls.acc.prep(c_out_g * ncols);
                     let scratch = GroupScratch {
-                        low_act: &mut tls.low_act,
                         low_w: &mut tls.low_w,
-                        live: &mut tls.live,
                         rules: &mut tls.rules,
                         gemm: &mut tls.group_scratch,
                     };
-                    self.conv_group_bands(l, conv, cg, n, cols, &tls.cols_q, scratch, acc);
+                    self.conv_group_bands(l, conv, cg, n, cols, &tls.cols_q, a_rules, scratch, acc);
                     // Same per-element expression as `scatter`, so the
                     // banded write is bit-exact with the serial path.
                     let _requant = tel::span("requant", tel::Cat::Phase);
@@ -1675,13 +1716,12 @@ impl<'m> QuantCompute<'m> {
                     drop(im2col_span);
                     let acc = ws.acc.prep(c_out_g * ncols);
                     let scratch = GroupScratch {
-                        low_act: &mut ws.low_act,
                         low_w: &mut ws.low_w,
-                        live: &mut ws.live,
                         rules: &mut ws.rules,
                         gemm: &mut ws.group_scratch,
                     };
-                    self.conv_group_bands(l, conv, cg, n, cols, &ws.cols_q, scratch, acc);
+                    let (cols_q, a_rules) = (&ws.cols_q, &ws.act_rules);
+                    self.conv_group_bands(l, conv, cg, n, cols, cols_q, a_rules, scratch, acc);
                     scatter(cg, &ws.acc, &mut out);
                 }
             }

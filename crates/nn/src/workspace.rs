@@ -1,11 +1,12 @@
 //! Reusable per-thread scratch for the quantized execution hot path.
 //!
 //! Every quantized layer pass needs the same family of scratch buffers:
-//! the quantized activation, the im2col lowering, the bit-lowered
-//! activation/weight bands of each feature group, the band accumulator,
-//! and the per-group GEMM scratch. Allocating them per layer per call
-//! (as the engines originally did with `vec![0; …]`) dominates small
-//! layers and churns the allocator under serving load.
+//! the quantized activation (for conv layers, bit-lowered in place before
+//! im2col), the im2col lowering, the bit-lowered linear activation and
+//! weight bands of each feature group, the lowering rules, the band
+//! accumulator, and the per-group GEMM scratch. Allocating them per layer
+//! per call (as the engines originally did with `vec![0; …]`) dominates
+//! small layers and churns the allocator under serving load.
 //!
 //! A [`Workspace`] owns all of them as capacity-retaining [`Buf`]s. The
 //! quantized compute hook checks one out of the calling thread's slot on
@@ -115,7 +116,8 @@ pub struct Workspace {
     pub act_q: Buf<i8>,
     /// im2col lowering of the quantized activation (conv layers).
     pub cols_q: Buf<i8>,
-    /// Bit-lowered activation band of the current feature group.
+    /// Bit-lowered activation band of the current feature group (linear
+    /// layers; conv activations are lowered in place in `act_q`).
     pub low_act: Buf<i8>,
     /// Bit-lowered weight band of the current feature group.
     pub low_w: Buf<i8>,
@@ -127,6 +129,9 @@ pub struct Workspace {
     pub group_scratch: Buf<i32>,
     /// Per-output-channel lowering rules of the current group.
     pub rules: Buf<BitLowering>,
+    /// Per-feature-group activation lowering rules of the current conv
+    /// layer (fixed when `act_q` is lowered, read by every band).
+    pub act_rules: Buf<BitLowering>,
     /// Valid-row gather list of a masked (variable-length) batch.
     pub rows: Buf<usize>,
 }
@@ -149,6 +154,7 @@ impl Workspace {
             + self.acc.grown()
             + self.group_scratch.grown()
             + self.rules.grown()
+            + self.act_rules.grown()
             + self.rows.grown()
     }
 
@@ -162,6 +168,7 @@ impl Workspace {
         self.acc.reset_growth();
         self.group_scratch.reset_growth();
         self.rules.reset_growth();
+        self.act_rules.reset_growth();
         self.rows.reset_growth();
     }
 }

@@ -39,11 +39,13 @@ impl QuantBits {
     /// Smallest representable integer, `-(2^(b-1))`.
     ///
     /// `-128` for 8 bits, matching the paper's `[-128, 127]` example.
+    #[inline]
     pub fn qmin(self) -> i32 {
         -(1 << (self.0 - 1))
     }
 
     /// Largest representable integer, `2^(b-1) - 1`.
+    #[inline]
     pub fn qmax(self) -> i32 {
         (1 << (self.0 - 1)) - 1
     }
@@ -108,10 +110,23 @@ impl QParams {
         self.bits
     }
 
-    /// Quantizes one value: `clip(round(x / scale), qmin, qmax)`.
+    /// Quantizes one value: `clip(round(x / scale), qmin, qmax)`, rounding
+    /// half away from zero (`f32::round`'s rule). `NaN` maps to 0 and
+    /// ±inf saturate.
+    ///
+    /// Branchless and free of libm calls, so activation quantization
+    /// loops inline and vectorize: clamping first bounds `|v| ≤ 2^(b-1)`,
+    /// where truncation is exact and the fractional part `v - trunc(v)`
+    /// is computed without error, so comparing it to ±0.5 is an exact
+    /// round.
+    #[inline]
     pub fn quantize(&self, x: f32) -> i32 {
-        let q = (x / self.scale).round() as i64;
-        q.clamp(self.bits.qmin() as i64, self.bits.qmax() as i64) as i32
+        // `clamp` passes NaN through; the saturating cast sends it to 0
+        // and the NaN fraction compares false both ways.
+        let v = (x / self.scale).clamp(self.bits.qmin() as f32, self.bits.qmax() as f32);
+        let t = v as i32;
+        let frac = v - t as f32;
+        t + (frac >= 0.5) as i32 - (frac <= -0.5) as i32
     }
 
     /// Dequantizes one integer back to a real value.
@@ -168,6 +183,87 @@ mod tests {
         assert_eq!(p.quantize(100.0), 127);
         assert_eq!(p.quantize(-100.0), -128);
         assert_eq!(p.quantize(0.0), 0);
+    }
+
+    /// The libm formulation `quantize` replaces: `f32::round` (half away
+    /// from zero), then an integer clip.
+    fn quantize_via_round(p: &QParams, x: f32) -> i32 {
+        let q = (x / p.scale()).round() as i64;
+        q.clamp(p.bits().qmin() as i64, p.bits().qmax() as i64) as i32
+    }
+
+    #[test]
+    fn quantize_matches_round_formula_on_edge_cases() {
+        let two23 = 8_388_608.0f32;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            -f32::from_bits(0x007f_ffff),
+            f32::EPSILON,
+            0.5 - f32::EPSILON / 4.0,
+            -(0.5 - f32::EPSILON / 4.0),
+        ];
+        for base in [two23, -two23] {
+            let mut v = base;
+            let mut w = base;
+            for _ in 0..4 {
+                xs.push(v);
+                xs.push(w);
+                v = f32::from_bits(v.to_bits() + 1);
+                w = f32::from_bits(w.to_bits() - 1);
+            }
+        }
+        // Ties k ± 0.5 across (and beyond) every range, plus their
+        // one-ulp neighbours.
+        for k in -300..=300 {
+            for t in [k as f32 + 0.5, k as f32 - 0.5] {
+                xs.extend([
+                    t,
+                    f32::from_bits(t.to_bits() + 1),
+                    f32::from_bits(t.to_bits() - 1),
+                ]);
+            }
+        }
+        for bits in [QuantBits::B2, QuantBits::B4, QuantBits::B8] {
+            for scale in [1.0f32, 0.5, 0.1, 3.0, 1e-30, 1e30] {
+                let p = QParams::new(scale, bits).unwrap();
+                for &x in &xs {
+                    assert_eq!(
+                        p.quantize(x),
+                        quantize_via_round(&p, x),
+                        "x = {x:e} ({:#010x}), scale = {scale}, {bits}",
+                        x.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_matches_round_formula_on_bit_pattern_sweep() {
+        // A strided walk over all 2^32 bit patterns (the odd stride hits
+        // every exponent and both signs, and varied low mantissa bits).
+        let stride = 4099u64;
+        for scale in [1.0f32, 0.0078125, 0.037, 13.0] {
+            let p = QParams::new(scale, QuantBits::B8).unwrap();
+            let mut b = 0u64;
+            while b < 1 << 32 {
+                let x = f32::from_bits(b as u32);
+                assert_eq!(p.quantize(x), quantize_via_round(&p, x), "bits {b:#010x}");
+                b += stride;
+            }
+        }
     }
 
     #[test]

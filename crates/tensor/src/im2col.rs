@@ -79,7 +79,7 @@ pub fn im2col_into(input: &[f32], g: &Conv2dGeometry, out: &mut Vec<f32>) {
     let cols = g.cols();
     out.clear();
     out.resize(g.rows() * cols, 0.0);
-    fill_im2col(input, g, out, cols, 0);
+    fill_im2col_rows(input, 1, 0, g, 0..g.rows(), out);
 }
 
 /// Integer variant of [`im2col`] for the quantized execution path.
@@ -97,13 +97,13 @@ pub fn im2col_i8_into(input: &[i8], g: &Conv2dGeometry, out: &mut Vec<i8>) {
     im2col_i8_fill(input, g, out);
 }
 
-/// [`im2col_i8`] into a caller-managed **pre-zeroed** slice of exactly
-/// `rows() * cols()` elements (padding taps are left untouched, so a
-/// dirty buffer would leak stale values into the padding positions).
+/// [`im2col_i8`] into a caller-managed slice of exactly `rows() * cols()`
+/// elements. Every element is written (padding taps as zero), so the
+/// slice may hold stale data.
 pub fn im2col_i8_fill(input: &[i8], g: &Conv2dGeometry, out: &mut [i8]) {
     assert_eq!(input.len(), g.c_in * g.h * g.w, "input length mismatch");
     assert_eq!(out.len(), g.rows() * g.cols(), "output length mismatch");
-    fill_im2col(input, g, out, g.cols(), 0);
+    fill_im2col_rows(input, 1, 0, g, 0..g.rows(), out);
 }
 
 /// Batched im2col: lowers `nb` samples into **one** column-stacked matrix
@@ -123,7 +123,7 @@ pub fn im2col_batch(
     g: &Conv2dGeometry,
 ) -> Vec<f32> {
     let mut out = Vec::new();
-    batch_lowering(input, nb, sample_stride, g, 0.0, &mut out);
+    batch_lowering(input, nb, sample_stride, g, &mut out);
     out
 }
 
@@ -135,7 +135,7 @@ pub fn im2col_i8_batch(
     g: &Conv2dGeometry,
 ) -> Vec<i8> {
     let mut out = Vec::new();
-    batch_lowering(input, nb, sample_stride, g, 0, &mut out);
+    batch_lowering(input, nb, sample_stride, g, &mut out);
     out
 }
 
@@ -148,7 +148,7 @@ pub fn im2col_batch_into(
     g: &Conv2dGeometry,
     out: &mut Vec<f32>,
 ) {
-    batch_lowering(input, nb, sample_stride, g, 0.0, out);
+    batch_lowering(input, nb, sample_stride, g, out);
 }
 
 /// [`im2col_i8_batch`] into a caller-provided buffer (cleared and
@@ -160,12 +160,12 @@ pub fn im2col_i8_batch_into(
     g: &Conv2dGeometry,
     out: &mut Vec<i8>,
 ) {
-    batch_lowering(input, nb, sample_stride, g, 0, out);
+    batch_lowering(input, nb, sample_stride, g, out);
 }
 
-/// [`im2col_i8_batch`] into a caller-managed **pre-zeroed** slice of
-/// exactly `rows() * nb * cols()` elements (padding taps are left
-/// untouched — see [`im2col_i8_fill`]).
+/// [`im2col_i8_batch`] into a caller-managed slice of exactly
+/// `rows() * nb * cols()` elements, every one of which is written (see
+/// [`im2col_i8_fill`]).
 pub fn im2col_i8_batch_fill(
     input: &[i8],
     nb: usize,
@@ -183,22 +183,22 @@ pub fn im2col_i8_batch_fill(
 
 /// Shared worker behind the batched lowerings: resizes the output and
 /// fills each sample's column block.
-fn batch_lowering<T: Copy + Send + Sync>(
+fn batch_lowering<T: Copy + Default + Send + Sync>(
     input: &[T],
     nb: usize,
     sample_stride: usize,
     g: &Conv2dGeometry,
-    zero: T,
     out: &mut Vec<T>,
 ) {
     assert!(nb > 0, "empty batch");
     out.clear();
-    out.resize(g.rows() * nb * g.cols(), zero);
+    out.resize(g.rows() * nb * g.cols(), T::default());
     batch_fill(input, nb, sample_stride, g, out);
 }
 
-/// Validates the strided batch layout and fills a pre-zeroed slice.
-fn batch_fill<T: Copy + Send + Sync>(
+/// Validates the strided batch layout and overwrites `out` with the
+/// lowering.
+fn batch_fill<T: Copy + Default + Send + Sync>(
     input: &[T],
     nb: usize,
     sample_stride: usize,
@@ -211,8 +211,7 @@ fn batch_fill<T: Copy + Send + Sync>(
         input.len() >= (nb - 1) * sample_stride + chw,
         "batched input too short"
     );
-    let cols = g.cols();
-    let total = nb * cols;
+    let total = nb * g.cols();
     let rows = g.rows();
     // Output rows are contiguous, so chunks of rows partition the matrix
     // into disjoint slabs: each task lowers its rows for every sample.
@@ -229,76 +228,106 @@ fn batch_fill<T: Copy + Send + Sync>(
             let mut elems = flexiq_parallel::take_ranges();
             elems.extend(bands.iter().map(|r| r.start * total..r.end * total));
             pool.run_disjoint_mut(&mut out[..], &elems, |bi, slab| {
-                let rows = bands[bi].clone();
-                for s in 0..nb {
-                    fill_im2col_rows(
-                        &input[s * sample_stride..s * sample_stride + chw],
-                        g,
-                        rows.clone(),
-                        slab,
-                        total,
-                        s * cols,
-                    );
-                }
+                fill_im2col_rows(input, nb, sample_stride, g, bands[bi].clone(), slab)
             });
             flexiq_parallel::put_ranges(elems);
             flexiq_parallel::put_ranges(bands);
             return;
         }
     }
-    for s in 0..nb {
-        fill_im2col_rows(
-            &input[s * sample_stride..s * sample_stride + chw],
-            g,
-            0..rows,
-            out,
-            total,
-            s * cols,
-        );
-    }
+    fill_im2col_rows(input, nb, sample_stride, g, 0..rows, out);
 }
 
-/// Writes one sample's lowering into `out`, whose rows are `total_cols`
-/// wide, starting at column `col_off` (zero-padding taps stay zero).
-fn fill_im2col<T: Copy>(
-    input: &[T],
-    g: &Conv2dGeometry,
-    out: &mut [T],
-    total_cols: usize,
-    col_off: usize,
-) {
-    fill_im2col_rows(input, g, 0..g.rows(), out, total_cols, col_off);
+/// The output positions `o` whose input tap `o * stride + k - pad` lands
+/// inside `[0, len)`, as a half-open range clipped to `[0, out)`.
+fn valid_taps(
+    len: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    out: usize,
+) -> std::ops::Range<usize> {
+    // First o with o*stride + k >= pad, last with o*stride + k < len + pad.
+    let lo = pad.saturating_sub(k).div_ceil(stride);
+    let hi = if len + pad > k {
+        (len + pad - k - 1) / stride + 1
+    } else {
+        0
+    };
+    lo.min(out)..hi.min(out).max(lo.min(out))
 }
 
-/// Fills the lowered rows `[rows.start, rows.end)` of one sample; `out`
-/// starts at row `rows.start`. A row decomposes as
+/// Fills the lowered rows `[rows.start, rows.end)` of `nb` samples, where
+/// sample `s` reads `input[s * sample_stride..]`; `out` holds those rows,
+/// each `nb * OH * OW` wide, with sample `s` in columns
+/// `[s * OH * OW, (s + 1) * OH * OW)`. A row decomposes as
 /// `row = (c * KH + kh) * KW + kw`.
-fn fill_im2col_rows<T: Copy>(
+///
+/// Every element is written, so `out` need not be pre-zeroed. The valid
+/// `(oy, ox)` tap ranges come from the geometry once per row, so no
+/// element pays a bounds branch, and each output row is written front to
+/// back, sample after sample:
+/// - at stride 1 with "same" width (`OW == W`), consecutive output lines
+///   read consecutive input rows at one fixed offset, so a sample's whole
+///   valid block is **one** slice copy; the few taps that copy wraps
+///   across a row edge are the padding columns, zeroed afterwards;
+/// - otherwise each line copies its valid span (a stepped copy at
+///   stride > 1).
+fn fill_im2col_rows<T: Copy + Default>(
     input: &[T],
+    nb: usize,
+    sample_stride: usize,
     g: &Conv2dGeometry,
     rows: std::ops::Range<usize>,
     out: &mut [T],
-    total_cols: usize,
-    col_off: usize,
 ) {
     let (oh, ow) = (g.out_h(), g.out_w());
+    let (s, hw) = (g.stride, g.h * g.w);
+    let cols = oh * ow;
+    let zero = T::default();
     let row0 = rows.start;
     for row in rows {
         let kw = row % g.kw;
         let kh = (row / g.kw) % g.kh;
         let c = row / (g.kw * g.kh);
-        for oy in 0..oh {
-            let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-            if iy < 0 || iy >= g.h as isize {
-                continue;
-            }
-            for ox in 0..ow {
-                let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                if ix < 0 || ix >= g.w as isize {
-                    continue;
+        let out_row = &mut out[(row - row0) * nb * cols..][..nb * cols];
+        let oys = valid_taps(g.h, kh, s, g.pad, oh);
+        let oxs = valid_taps(g.w, kw, s, g.pad, ow);
+        if oys.is_empty() || oxs.is_empty() {
+            out_row.fill(zero);
+            continue;
+        }
+        // Input position of the first valid tap.
+        let iy0 = oys.start * s + kh - g.pad;
+        let ix0 = oxs.start * s + kw - g.pad;
+        for (smp, dst) in out_row.chunks_exact_mut(cols).enumerate() {
+            let plane = &input[smp * sample_stride + c * hw..][..hw];
+            dst[..oys.start * ow].fill(zero);
+            dst[oys.end * ow..].fill(zero);
+            if s == 1 && ow == g.w {
+                let first = oys.start * ow + oxs.start;
+                let last = (oys.end - 1) * ow + oxs.end;
+                let src0 = iy0 * g.w + ix0;
+                dst[first..last].copy_from_slice(&plane[src0..src0 + (last - first)]);
+            } else {
+                for (i, oy) in oys.clone().enumerate() {
+                    let src = &plane[(iy0 + i * s) * g.w + ix0..];
+                    let taps = &mut dst[oy * ow + oxs.start..oy * ow + oxs.end];
+                    if s == 1 {
+                        taps.copy_from_slice(&src[..taps.len()]);
+                    } else {
+                        for (d, v) in taps.iter_mut().zip(src.iter().step_by(s)) {
+                            *d = *v;
+                        }
+                    }
                 }
-                out[(row - row0) * total_cols + col_off + oy * ow + ox] =
-                    input[(c * g.h + iy as usize) * g.w + ix as usize];
+            }
+            // Padding columns of the valid lines (column-major, so these
+            // short strided stores never become per-line `memset` calls).
+            for ox in (0..oxs.start).chain(oxs.end..ow) {
+                for oy in oys.clone() {
+                    dst[oy * ow + ox] = zero;
+                }
             }
         }
     }
@@ -479,6 +508,105 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Element-by-element gather with explicit bounds checks: the
+    /// definition of the lowering, independent of the row-copy fill.
+    fn naive_lowering<T: Copy + Default>(input: &[T], g: &Conv2dGeometry) -> Vec<T> {
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let mut out = vec![T::default(); g.rows() * oh * ow];
+        for row in 0..g.rows() {
+            let (c, kh, kw) = (row / (g.kh * g.kw), (row / g.kw) % g.kh, row % g.kw);
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let iy = (oy * g.stride + kh) as isize - g.pad as isize;
+                    let ix = (ox * g.stride + kw) as isize - g.pad as isize;
+                    if (0..g.h as isize).contains(&iy) && (0..g.w as isize).contains(&ix) {
+                        out[row * oh * ow + oy * ow + ox] =
+                            input[(c * g.h + iy as usize) * g.w + ix as usize];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Checks the f32, i8 and batched (strided) fills of one geometry
+    /// against [`naive_lowering`].
+    fn check_geometry(g: &Conv2dGeometry, rng: &mut impl rand::Rng) {
+        let chw = g.c_in * g.h * g.w;
+        let nb = 3;
+        let sample_stride = chw + 5;
+        let input_i: Vec<i8> = (0..(nb - 1) * sample_stride + chw)
+            .map(|_| rng.gen_range(-128i16..=127) as i8)
+            .collect();
+        let input_f: Vec<f32> = input_i.iter().map(|&v| v as f32 + 0.25).collect();
+        let cols = g.cols();
+        let big_i = im2col_i8_batch(&input_i, nb, sample_stride, g);
+        let big_f = im2col_batch(&input_f, nb, sample_stride, g);
+        // The fill overwrites every element: a dirty buffer comes out
+        // identical to a fresh one.
+        let mut dirty = vec![0x55i8; big_i.len()];
+        im2col_i8_batch_fill(&input_i, nb, sample_stride, g, &mut dirty);
+        assert_eq!(dirty, big_i, "{g:?}");
+        for s in 0..nb {
+            let xi = &input_i[s * sample_stride..s * sample_stride + chw];
+            let xf = &input_f[s * sample_stride..s * sample_stride + chw];
+            let want_i = naive_lowering(xi, g);
+            let want_f = naive_lowering(xf, g);
+            assert_eq!(im2col_i8(xi, g), want_i, "{g:?}");
+            assert_eq!(im2col(xf, g), want_f, "{g:?}");
+            for row in 0..g.rows() {
+                let at = row * nb * cols + s * cols;
+                assert_eq!(&big_i[at..at + cols], &want_i[row * cols..(row + 1) * cols]);
+                assert_eq!(&big_f[at..at + cols], &want_f[row * cols..(row + 1) * cols]);
+            }
+        }
+    }
+
+    #[test]
+    fn lowering_matches_naive_gather_on_random_geometries() {
+        use crate::rng::seeded;
+        use rand::Rng;
+        let mut rng = seeded(35);
+        let geom = |c_in, h, w, kh, kw, stride, pad| Conv2dGeometry {
+            c_in,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+        };
+        // Named edge cases: 1×1 at strides 1–3, stride 3, kernel equal to
+        // and larger than the input, pad ≥ kernel, non-square everything,
+        // and one large enough to take the row-parallel batched fill.
+        let fixed = [
+            geom(2, 5, 7, 1, 1, 1, 0),
+            geom(2, 5, 7, 1, 1, 2, 0),
+            geom(3, 7, 4, 1, 1, 3, 0),
+            geom(2, 8, 9, 3, 3, 3, 1),
+            geom(1, 3, 3, 3, 3, 1, 0),
+            geom(1, 2, 3, 4, 5, 1, 1),
+            geom(2, 4, 3, 2, 2, 1, 3),
+            geom(1, 3, 5, 3, 2, 2, 4),
+            geom(16, 20, 24, 3, 3, 1, 1),
+        ];
+        for g in &fixed {
+            check_geometry(g, &mut rng);
+        }
+        for _ in 0..300 {
+            let g = geom(
+                rng.gen_range(1usize..=3),
+                rng.gen_range(1usize..=9),
+                rng.gen_range(1usize..=9),
+                rng.gen_range(1usize..=5),
+                rng.gen_range(1usize..=5),
+                rng.gen_range(1usize..=3),
+                rng.gen_range(0usize..=5),
+            );
+            check_geometry(&g, &mut rng);
         }
     }
 
